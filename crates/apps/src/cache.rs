@@ -56,6 +56,7 @@ use std::io::{self, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gpp_graph::rng::fnv1a;
 use gpp_obs::metrics;
 use gpp_sim::trace::{Trace, RECORDER_VERSION};
 
@@ -104,22 +105,17 @@ impl TraceCache {
             StudyScale::Small => 1,
             StudyScale::Tiny => 2,
         };
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for byte in app
-            .bytes()
-            .chain([0])
-            .chain(version.to_le_bytes())
-            .chain(input.name.bytes())
-            .chain([0, scale_tag])
-            .chain(seed.to_le_bytes())
-            .chain((input.graph.num_nodes() as u64).to_le_bytes())
-            .chain((input.graph.num_edges() as u64).to_le_bytes())
-            .chain(RECORDER_VERSION.to_le_bytes())
-        {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(
+            app.bytes()
+                .chain([0])
+                .chain(version.to_le_bytes())
+                .chain(input.name.bytes())
+                .chain([0, scale_tag])
+                .chain(seed.to_le_bytes())
+                .chain((input.graph.num_nodes() as u64).to_le_bytes())
+                .chain((input.graph.num_edges() as u64).to_le_bytes())
+                .chain(RECORDER_VERSION.to_le_bytes()),
+        )
     }
 
     /// The on-disk path of one entry. The human-readable prefix is for

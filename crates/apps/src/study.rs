@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use std::io::BufReader;
 use std::path::Path;
 
-use gpp_graph::rng::Rng64;
+use gpp_graph::rng::{fnv1a, Rng64};
 use gpp_sim::chip::{study_chips, ChipProfile};
 use gpp_sim::opts::NUM_CONFIGS;
 use serde::{Deserialize, Serialize};
@@ -374,25 +374,22 @@ pub fn run_study_on(config: &StudyConfig, chips: &[ChipProfile], ctx: &RunCtx) -
 
 /// Derives the per-(cell, configuration) noise stream.
 fn noise_rng(seed: u64, app: &str, input: &str, chip: &str, config_index: usize) -> Rng64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-    for byte in app
-        .bytes()
-        .chain([0])
-        .chain(input.bytes())
-        .chain([0])
-        .chain(chip.bytes())
-        .chain([0])
-        .chain((config_index as u32).to_le_bytes())
-    {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = fnv1a(
+        app.bytes()
+            .chain([0])
+            .chain(input.bytes())
+            .chain([0])
+            .chain(chip.bytes())
+            .chain([0])
+            .chain((config_index as u32).to_le_bytes()),
+    );
     Rng64::new(seed ^ h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpp_graph::rng::{for_cases, mutate, JSON_TOKENS};
 
     fn tiny_dataset() -> Dataset {
         run_study(&StudyConfig::tiny())
@@ -565,6 +562,36 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         assert_eq!(names, ["dataset.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mutated_dataset_files_load_or_fail_without_panicking() {
+        // Two cells of one run each keep every case small.
+        let mut ds = tiny_dataset();
+        ds.cells.truncate(2);
+        ds.runs = 1;
+        for cell in &mut ds.cells {
+            cell.times.iter_mut().for_each(|runs| runs.truncate(1));
+        }
+        let json = serde_json::to_string(&ds).unwrap().into_bytes();
+        let dir = std::env::temp_dir().join(format!("gpp-study-mutate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, again) = (dir.join("dataset.json"), dir.join("again.json"));
+        let mut loaded = 0;
+        for_cases(0xda7a, 4_000, |rng| {
+            let mut bytes = json.clone();
+            mutate(rng, &mut bytes, JSON_TOKENS);
+            std::fs::write(&path, &bytes).unwrap();
+            // A dataset that loads passes the checks, so it saves and
+            // loads back unchanged.
+            if let Ok(ds) = Dataset::load_json(&path) {
+                ds.save_json(&again).unwrap();
+                assert_eq!(Dataset::load_json(&again).unwrap(), ds);
+                loaded += 1;
+            }
+        });
+        assert!(loaded > 0, "no mutant loaded");
         std::fs::remove_dir_all(&dir).ok();
     }
 

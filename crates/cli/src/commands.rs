@@ -52,8 +52,8 @@ const fn int(name: &'static str, min: u64, help: &'static str) -> Flag {
 pub static COMMANDS: &[Command] = {
     // Flags several commands share. The numeric defaults equal the library
     // configs' (`StudyConfig`, `SweepConfig`, `SearchParams`); a test checks.
-    // A count that sizes an allocation (`--runs`, `--trials`, `--chips`)
-    // has a maximum, so a huge value is an argument error, not an abort.
+    // A count that sizes an allocation (`--runs`, `--trials`, `--chips`,
+    // `--beam`) has a maximum, so a huge value is an argument error, not an abort.
     const THREADS: Flag = int("threads", 0, "cap on the persistent pool's threads per fan-out; 0 means the machine's parallelism; output is byte-identical at any count").default("0");
     const DATA: Flag = text("data", "FILE", "the study dataset; it must exist, and only `gpp study --out FILE` writes one (default target/study/dataset.json)");
     const SEED: Flag = int("seed", 0, "input-generation seed").default("2591957017");
@@ -112,7 +112,7 @@ pub static COMMANDS: &[Command] = {
             Flag::new("k", Kind::Int { min: 1, max: NUM_CONFIGS as u64 }, "largest portfolio").default("8").smoke("4"),
             Flag::new("objective", Kind::Choice(&["geomean", "worst"]), "what a portfolio minimises").default("geomean"),
             int("exact-max", 1, "search exactly up to this k, then beam search").default("3").smoke("2"),
-            int("beam", 1, "beam width").default("64"), SMOKE_SCALE, SEED, THREADS,
+            Flag::new("beam", Kind::Int { min: 1, max: 10_000 }, "beam width").default("64"), SMOKE_SCALE, SEED, THREADS,
             text("out", "FILE", "save the curve as JSON"), TRACE_CACHE,
             switch("smoke", "tiny in-memory study when no --data is given"),
         ] },
@@ -1030,6 +1030,27 @@ mod tests {
         std::fs::write(&file, "[]").unwrap();
         let err = run_cmd(&format!("sweep --smoke --chips-file {}", file.display())).unwrap_err();
         assert!(err.contains("empty"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mutated_chip_files_read_or_fail_without_panicking() {
+        use gpp_graph::rng::{for_cases, mutate, JSON_TOKENS};
+        let json = serde_json::to_string(&study_chips()[..2])
+            .unwrap()
+            .into_bytes();
+        let dir = std::env::temp_dir().join(format!("gpp-cli-chips-mutate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("chips.json");
+        let name = file.display().to_string();
+        let mut read = 0;
+        for_cases(0xc41b, 8_000, |rng| {
+            let mut bytes = json.clone();
+            mutate(rng, &mut bytes, JSON_TOKENS);
+            std::fs::write(&file, &bytes).unwrap();
+            read += usize::from(read_chips_file(&name).is_ok());
+        });
+        assert!(read > 0, "no mutant read");
         std::fs::remove_dir_all(&dir).ok();
     }
 

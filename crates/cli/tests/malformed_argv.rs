@@ -102,6 +102,10 @@ fn argv_mistakes_are_named_together() {
             &["study", "--scale", "tiny", "--runs", "1000000000000"],
             &["--runs must be in 1..=1000"],
         ),
+        (
+            &["portfolio", "--smoke", "--beam", "18446744073709551615"],
+            &["--beam must be in 1..=10000"],
+        ),
         // Every error in one line is reported in the one message.
         (
             &["study", "--thraeds", "2", "--runs", "0", "--scale", "huge"],

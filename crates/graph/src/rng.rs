@@ -99,6 +99,14 @@ impl Rng64 {
     }
 }
 
+/// Byte-wise 64-bit FNV-1a over `bytes`: a fixed, platform-independent
+/// hash for deriving seeds and content keys from names and numbers.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Runs `cases` randomized test cases, case `c` drawing from
 /// `Rng64::new(seed).fork(c)`: every run draws the same cases. When a case
 /// panics, its seed and number go to stderr as the panic unwinds. Failing
@@ -122,6 +130,60 @@ pub fn for_cases(seed: u64, cases: u64, mut case: impl FnMut(&mut Rng64)) {
     for c in 0..cases {
         let _report = Report(seed, c);
         case(&mut Rng64::new(seed).fork(c));
+    }
+}
+
+/// Tokens that [`mutate`] swaps into JSON: numbers past every range, signed
+/// zeros, a lone surrogate escape, and values of the wrong type.
+pub const JSON_TOKENS: &[&str] = &[
+    "1e400",
+    "-1e400",
+    "1e-400",
+    "5e-324",
+    "-0",
+    "0",
+    "-1",
+    "4294967296",
+    "18446744073709551616",
+    "NaN",
+    "null",
+    "true",
+    "\"\"",
+    "\\ud800",
+    "\"\\ud800\"",
+    "[]",
+    "{}",
+];
+
+/// Applies one to three random edits to `bytes`, the mutation step of a
+/// reader's seeded no-panic loop: flip one bit, delete a short run,
+/// truncate, or replace the token around a position (a maximal run of
+/// bytes outside `,:;()[]{}"'=` and whitespace) with one of `tokens`.
+///
+/// # Panics
+///
+/// Panics if `tokens` is empty.
+pub fn mutate(rng: &mut Rng64, bytes: &mut Vec<u8>, tokens: &[&str]) {
+    let delim = |b: &u8| b",:;()[]{}\"'= \t\r\n".contains(b);
+    for _ in 0..=rng.gen_range(3) {
+        let at = rng.gen_range(bytes.len() as u64 + 1) as usize;
+        match rng.gen_range(8) {
+            0..=2 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(8),
+            3 | 4 => {
+                let end = bytes.len().min(at + 1 + rng.gen_range(8) as usize);
+                bytes.drain(at..end);
+            }
+            5 => bytes.truncate(at),
+            _ => {
+                let token = tokens[rng.gen_range(tokens.len() as u64) as usize];
+                let start = bytes[..at].iter().rposition(delim).map_or(0, |i| i + 1);
+                let end = bytes[at..]
+                    .iter()
+                    .position(delim)
+                    .map_or(bytes.len(), |i| at + i);
+                bytes.splice(start..end, token.bytes());
+            }
+        }
     }
 }
 
@@ -245,6 +307,32 @@ mod tests {
         assert_eq!(first, again);
         let want: Vec<u64> = (0..5).map(|c| Rng64::new(9).fork(c).next_u64()).collect();
         assert_eq!(first, want);
+    }
+
+    #[test]
+    fn fnv1a_matches_known_answers() {
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn mutate_edits_bytes_and_swaps_in_tokens() {
+        let text = b"{\"a\": [1.5, 2], \"b\": \"x\"}".to_vec();
+        let (mut changed, mut swapped) = (0, 0);
+        for_cases(0x3a7e, 200, |rng| {
+            let mut bytes = text.clone();
+            mutate(rng, &mut bytes, &["1e400"]);
+            changed += usize::from(bytes != text);
+            swapped += usize::from(bytes.windows(5).any(|w| w == b"1e400"));
+        });
+        assert!(
+            changed > 150 && swapped > 20,
+            "{changed} changed, {swapped} swapped"
+        );
+        // An empty input can only grow a token.
+        let mut empty = Vec::new();
+        for_cases(0x3a7f, 50, |rng| mutate(rng, &mut empty, &["x"]));
+        assert!(empty.iter().all(|&b| b == b'x'));
     }
 
     #[test]

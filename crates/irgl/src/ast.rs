@@ -10,6 +10,8 @@
 //! integers graph algorithms use (node ids, levels, labels and small
 //! weighted distances are all well below 2^53).
 
+use gpp_graph::rng::fnv1a;
+
 /// Index of a per-node field in [`Program::fields`].
 pub type FieldId = usize;
 
@@ -299,11 +301,7 @@ impl Program {
     /// initialisers, driver and output). Folded into DSL trace-cache
     /// keys so editing a program can never serve a stale cached trace.
     pub fn content_hash(&self) -> u64 {
-        format!("{self:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
-                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
+        fnv1a(format!("{self:?}").bytes())
     }
 }
 

@@ -27,6 +27,16 @@
 //! (encoded entry sizes). Hits and misses are span counts: every
 //! lookup is a `trace` span, and every miss a `record` span inside it.
 //!
+//! The `replay.*` family attributes trace pricing in `gpp_sim::trace`:
+//! `replay.geometry_builds` (row tables aggregated, one per geometry a
+//! compiled trace was missing when asked for it), `replay.configs_priced`
+//! (chip × configuration results, 96 per chip of a batch walk and one per
+//! scalar replay), `replay.chip_batches` (batch walks, one per call of
+//! `replay_all_configs_many_chips`), `replay.rows_walked` (aggregate rows
+//! the batch walks visited) and `replay.rows_priced` (lane entries the
+//! batch pricers wrote, each a distinct (kernel profile, row) pair priced
+//! once, scratch rewrites included).
+//!
 //! The `par.*` family attributes executor behaviour: `par.tasks` (items
 //! fanned out), `par.workers` (widest fan-out, gauge),
 //! `par.chunks_claimed` (index-range claims — scheduling granularity),

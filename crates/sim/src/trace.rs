@@ -40,11 +40,11 @@
 //! item is classified once into a degree bin whose class is known in
 //! advance for every geometry, and the bin summaries fold into each
 //! geometry's workgroups at chunk boundaries, so aggregation cost is
-//! O(items) plus a per-chunk fold. Each geometry lives in a
-//! [`OnceLock`] slot, so it is built exactly once no matter how many
-//! threads race to replay it; call [`CompiledTrace::precompile_all`] for
-//! the run's chip set first to build the aggregations outside the
-//! parallel section.
+//! O(items) plus a per-chunk fold. A [`CompiledTrace`] keeps its built
+//! tables in one locked list and builds all that a request lacks in one
+//! such pass, so each geometry is built at most once however many
+//! threads replay it; call [`CompiledTrace::precompile_all`] for the
+//! run's chip set first, so the parallel section only looks tables up.
 //!
 //! [`CompiledTrace::replay`] prices one (chip, configuration) through a
 //! [`crate::exec::Session`] — the scalar reference, which also returns
@@ -102,7 +102,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 
 use gpp_obs::metrics;
 use gpp_obs::CostBreakdown;
@@ -683,59 +683,22 @@ pub fn geometry_groups(chip: &ChipProfile) -> Vec<(u32, Vec<OptConfig>)> {
     groups
 }
 
-/// The (workgroup size, subgroup size) pairs `chip` uses, in group order.
-fn chip_geometries(chip: &ChipProfile) -> Vec<(u32, u32)> {
-    let sg_size = chip.subgroup_size.max(1);
-    geometry_groups(chip)
-        .iter()
-        .map(|(wg_size, _)| (*wg_size, sg_size))
-        .collect()
-}
+/// An aggregation geometry: (workgroup size, subgroup size).
+type Geometry = (u32, u32);
 
-// One geometry's aggregation slot. The OnceLock guarantees the (now
-// single-pass, hence larger) build happens exactly once per geometry even
-// when replays race; the Arc around the value lets a replay keep using an
-// aggregation without holding the map lock.
-type GeometrySlot = Arc<OnceLock<Arc<RowTable>>>;
-
-/// A trace plus its lazily built per-(workgroup size, subgroup size)
-/// aggregations, ready for cheap replay on any chip and configuration.
+/// A trace plus its per-(workgroup size, subgroup size) aggregations,
+/// built on first use and kept, ready for cheap replay on any chip and
+/// configuration.
 ///
-/// The aggregation cache is a map of [`OnceLock`] slots behind an
-/// [`RwLock`], so replay methods take `&self` and the same compiled trace
-/// can be shared across threads (`CompiledTrace` is `Sync`). Each
-/// geometry is built exactly once — racing threads block on the slot's
-/// `OnceLock` instead of duplicating the build — and replays for an
-/// already-built geometry only take the read lock.
+/// The built [`RowTable`]s sit in one list behind one [`Mutex`], so
+/// replay methods take `&self` and a compiled trace can be shared across
+/// threads. Each request builds the geometries it lacks in one arena pass
+/// under the lock, so each is built at most once.
 #[derive(Debug)]
 pub struct CompiledTrace {
     trace: Trace,
-    // Keyed by (wg_size, sg_size); a table's calls are the trace's calls.
-    compiled: RwLock<HashMap<(u32, u32), GeometrySlot>>,
-}
-
-impl Clone for CompiledTrace {
-    fn clone(&self) -> Self {
-        // Deep-clone only the *built* geometries: an empty slot in the
-        // clone would share build-exactly-once state with the original.
-        let compiled = self
-            .compiled
-            .read()
-            .unwrap()
-            .iter()
-            .filter_map(|(key, slot)| {
-                slot.get().map(|aggs| {
-                    let fresh: GeometrySlot = Arc::default();
-                    fresh.set(Arc::clone(aggs)).expect("fresh slot is empty");
-                    (*key, fresh)
-                })
-            })
-            .collect();
-        CompiledTrace {
-            trace: self.trace.clone(),
-            compiled: RwLock::new(compiled),
-        }
-    }
+    // A table's calls are the trace's calls.
+    tables: Mutex<Vec<(Geometry, Arc<RowTable>)>>,
 }
 
 impl CompiledTrace {
@@ -743,7 +706,7 @@ impl CompiledTrace {
     pub fn new(trace: Trace) -> Self {
         CompiledTrace {
             trace,
-            compiled: RwLock::new(HashMap::new()),
+            tables: Mutex::default(),
         }
     }
 
@@ -752,93 +715,54 @@ impl CompiledTrace {
         &self.trace
     }
 
-    /// The [`OnceLock`] slot for one geometry, inserting an empty slot
-    /// under the write lock if the geometry is new.
-    fn slot(&self, key: (u32, u32)) -> GeometrySlot {
-        if let Some(slot) = self.compiled.read().unwrap().get(&key) {
-            return Arc::clone(slot);
-        }
-        Arc::clone(self.compiled.write().unwrap().entry(key).or_default())
-    }
-
-    /// Builds the row tables of several geometries in one pass over the
-    /// item arena: a repeated call copies its source call's rows.
-    fn build_geometries(&self, keys: &[(u32, u32)]) -> Vec<RowTable> {
-        metrics::counter("replay.geometry_builds", keys.len() as u64);
-        let mut builder = RowTableBuilder::new(keys);
-        let (sources, _) =
-            call_sources(&self.trace.calls).expect("recorded and decoded traces are well formed");
-        for (call, source) in self.trace.calls().zip(sources) {
-            match source {
-                Some(j) => builder.repeat_call(j),
-                None => builder.push_call(call.items),
-            }
-        }
-        builder.finish()
-    }
-
-    /// The row table of one geometry, building and caching it on first
-    /// use. Concurrent callers for the same geometry build it once.
-    fn aggregates(&self, wg_size: u32, sg_size: u32) -> Arc<RowTable> {
-        let slot = self.slot((wg_size, sg_size));
-        let aggs = slot.get_or_init(|| {
-            let [aggs] = <[_; 1]>::try_from(self.build_geometries(&[(wg_size, sg_size)]))
-                .expect("one geometry in, one out");
-            Arc::new(aggs)
-        });
-        Arc::clone(aggs)
-    }
-
-    /// Builds every not-yet-built geometry in `keys` with a *single* pass
-    /// over the item arena, however many geometries are missing.
-    fn build_missing(&self, keys: &[(u32, u32)]) {
-        let mut missing: Vec<((u32, u32), GeometrySlot)> = Vec::new();
+    /// The row tables of `keys`, in key order. Every key not built yet is
+    /// built first, all of them in one pass over the item arena (a
+    /// repeated call copies its source call's rows).
+    fn tables(&self, keys: &[Geometry]) -> Vec<Arc<RowTable>> {
+        let mut tables = self.tables.lock().expect("no geometry build panicked");
+        let mut missing: Vec<Geometry> = Vec::new();
         for &key in keys {
-            if missing.iter().any(|(k, _)| *k == key) {
-                continue;
-            }
-            let slot = self.slot(key);
-            if slot.get().is_none() {
-                missing.push((key, slot));
+            if !missing.contains(&key) && !tables.iter().any(|(k, _)| *k == key) {
+                missing.push(key);
             }
         }
-        if missing.is_empty() {
-            return;
+        if !missing.is_empty() {
+            metrics::counter("replay.geometry_builds", missing.len() as u64);
+            let mut builder = RowTableBuilder::new(&missing);
+            let (sources, _) = call_sources(&self.trace.calls)
+                .expect("recorded and decoded traces are well formed");
+            for (call, source) in self.trace.calls().zip(sources) {
+                match source {
+                    Some(j) => builder.repeat_call(j),
+                    None => builder.push_call(call.items),
+                }
+            }
+            let built = builder.finish().into_iter().map(Arc::new);
+            tables.extend(missing.into_iter().zip(built));
         }
-        let missing_keys: Vec<(u32, u32)> = missing.iter().map(|(k, _)| *k).collect();
-        let built = self.build_geometries(&missing_keys);
-        for ((_, slot), table) in missing.iter().zip(built) {
-            // A racing aggregates() call may have won the slot meanwhile;
-            // its value is identical, so losing the race is harmless.
-            let _ = slot.set(Arc::new(table));
-        }
+        keys.iter()
+            .map(|key| {
+                let at = tables.iter().position(|(k, _)| k == key);
+                Arc::clone(&tables[at.expect("every key is built")].1)
+            })
+            .collect()
     }
 
     /// Builds the aggregations for every geometry any of `machines` can
-    /// use (the distinct effective workgroup sizes of
-    /// [`geometry_groups`] on each chip), so later replays never build.
-    /// All of them are aggregated in one pass over the item arena.
-    /// Idempotent.
+    /// use (the effective workgroup sizes of [`geometry_groups`] on each
+    /// chip) in one pass over the item arena, so later replays never
+    /// build. Idempotent.
     pub fn precompile_all(&self, machines: &[Machine]) {
-        let mut keys: Vec<(u32, u32)> = Vec::new();
-        for machine in machines {
-            for key in chip_geometries(machine.chip()) {
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            }
-        }
-        self.build_missing(&keys);
-    }
-
-    /// Number of distinct geometries aggregated so far.
-    pub fn num_compiled_geometries(&self) -> usize {
-        self.compiled
-            .read()
-            .unwrap()
-            .values()
-            .filter(|slot| slot.get().is_some())
-            .count()
+        let keys: Vec<Geometry> = machines
+            .iter()
+            .flat_map(|machine| {
+                let sg_size = machine.chip().subgroup_size.max(1);
+                geometry_groups(machine.chip())
+                    .into_iter()
+                    .map(move |(wg_size, _)| (wg_size, sg_size))
+            })
+            .collect();
+        self.tables(&keys);
     }
 
     /// Replays the trace on `machine` under `config`, returning the same
@@ -853,7 +777,9 @@ impl CompiledTrace {
         metrics::counter("replay.configs_priced", 1);
         let mut session = machine.session(config);
         let sg_size = machine.chip().subgroup_size.max(1);
-        let table = self.aggregates(session.workgroup_size(), sg_size);
+        let table = self
+            .tables(&[(session.workgroup_size(), sg_size)])
+            .swap_remove(0);
         for (i, call) in self.trace.calls().enumerate() {
             session.kernel_aggregated(call.profile, &table.expand(i));
         }
@@ -908,8 +834,9 @@ impl CompiledTrace {
         let (mut rows_walked, mut rows_priced) = (0u64, 0u64);
         // All chips of a batch share max_workgroup_size, hence the same
         // geometry grouping; any member stands for the batch.
-        for (wg_size, configs) in geometry_groups(&chips[0]).iter() {
-            let table = self.aggregates(*wg_size, sg_size);
+        let groups = geometry_groups(&chips[0]);
+        let keys: Vec<Geometry> = groups.iter().map(|(wg, _)| (*wg, sg_size)).collect();
+        for ((wg_size, configs), table) in groups.iter().zip(self.tables(&keys)) {
             let mut pricer = BatchGroupPricer::new(batch, *wg_size, configs);
             let mut times = vec![0.0f64; configs.len() * n_chips];
             for (call_idx, call) in self.trace.calls().enumerate() {
@@ -1232,6 +1159,11 @@ mod tests {
         assert_eq!(stats.time_ns, 0.0);
     }
 
+    /// Number of distinct geometries aggregated so far.
+    fn built(compiled: &CompiledTrace) -> usize {
+        compiled.tables.lock().unwrap().len()
+    }
+
     #[test]
     fn compilation_is_cached_per_geometry() {
         let compiled = CompiledTrace::new(sample_trace());
@@ -1240,7 +1172,7 @@ mod tests {
         compiled.replay(&m1, OptConfig::baseline());
         compiled.replay(&m2, OptConfig::baseline());
         compiled.replay(&m1, OptConfig::from_index(1)); // sz256 -> new wg size
-        assert_eq!(compiled.num_compiled_geometries(), 3);
+        assert_eq!(built(&compiled), 3);
     }
 
     #[test]
@@ -1248,9 +1180,9 @@ mod tests {
         let compiled = CompiledTrace::new(sample_trace());
         let machine = Machine::new(ChipProfile::gtx1080());
         compiled.precompile_all(std::slice::from_ref(&machine));
-        assert_eq!(compiled.num_compiled_geometries(), 2); // wg 128 and 256
+        assert_eq!(built(&compiled), 2); // wg 128 and 256
         compiled.precompile_all(std::slice::from_ref(&machine)); // idempotent
-        assert_eq!(compiled.num_compiled_geometries(), 2);
+        assert_eq!(built(&compiled), 2);
     }
 
     #[test]
@@ -1281,11 +1213,11 @@ mod tests {
             let machine = Machine::new(chip.clone());
             let compiled = CompiledTrace::new(trace.clone());
             compiled.precompile_all(std::slice::from_ref(&machine));
-            let precompiled = compiled.num_compiled_geometries();
+            let precompiled = built(&compiled);
             assert_eq!(precompiled, geometry_groups(&chip).len(), "{}", chip.name);
             compiled.replay_all_configs(&machine);
             assert_eq!(
-                compiled.num_compiled_geometries(),
+                built(&compiled),
                 precompiled,
                 "replay built geometries precompile missed on {}",
                 chip.name
@@ -1303,10 +1235,7 @@ mod tests {
         for machine in &machines {
             per_chip.precompile_all(std::slice::from_ref(machine));
         }
-        assert_eq!(
-            compiled.num_compiled_geometries(),
-            per_chip.num_compiled_geometries()
-        );
+        assert_eq!(built(&compiled), built(&per_chip));
         // And the aggregations themselves are identical.
         for machine in &machines {
             assert_eq!(
@@ -1316,22 +1245,6 @@ mod tests {
                 machine.chip().name
             );
         }
-    }
-
-    #[test]
-    fn clone_carries_built_geometries() {
-        let compiled = CompiledTrace::new(sample_trace());
-        let machine = Machine::new(ChipProfile::r9());
-        compiled.precompile_all(std::slice::from_ref(&machine));
-        let cloned = compiled.clone();
-        assert_eq!(
-            cloned.num_compiled_geometries(),
-            compiled.num_compiled_geometries()
-        );
-        assert_eq!(
-            cloned.replay(&machine, OptConfig::baseline()),
-            compiled.replay(&machine, OptConfig::baseline())
-        );
     }
 
     #[test]
