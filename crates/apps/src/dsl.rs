@@ -2,6 +2,12 @@
 //! as [`Application`]s, executed on the native `gpp_irgl` runtime with a
 //! compile-once-run-many discipline.
 //!
+//! The programs are DSL source (`crates/irgl/programs/*.irgl`), parsed
+//! when [`dsl_applications`] builds the table, once per study. A
+//! program's [`Program::content_hash`] is its app's
+//! [`Application::content_version`], so an edit to a `.irgl` file that
+//! changes its program invalidates that app's cached traces.
+//!
 //! Each [`DslApp`] compiles its program to a [`CompiledProgram`] at most
 //! once per study (a [`OnceLock`], shared across inputs and across the
 //! grid runner's worker threads) and runs it on a fresh [`NativeVm`].
@@ -48,16 +54,6 @@ pub struct DslApp {
 }
 
 impl DslApp {
-    fn new(name: &'static str, problem: Problem, kind: OutputKind, program: Program) -> Self {
-        DslApp {
-            name,
-            problem,
-            kind,
-            program,
-            compiled: OnceLock::new(),
-        }
-    }
-
     /// The compiled program, compiling on first use.
     fn compiled(&self) -> &CompiledProgram {
         self.compiled.get_or_init(|| {
@@ -107,50 +103,29 @@ impl Application for DslApp {
 /// The seven DSL programs as study applications (`dsl-` name prefix so
 /// they never collide with the handwritten registry).
 pub fn dsl_applications() -> Vec<Box<dyn Application>> {
-    vec![
-        Box::new(DslApp::new(
-            "dsl-bfs-tp",
-            Problem::Bfs,
-            OutputKind::Levels,
-            programs::bfs_topology(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-bfs-wl",
-            Problem::Bfs,
-            OutputKind::Levels,
-            programs::bfs_worklist(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-sssp-bf",
-            Problem::Sssp,
-            OutputKind::Distances,
-            programs::sssp_bellman(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-sssp-wl",
-            Problem::Sssp,
-            OutputKind::Distances,
-            programs::sssp_worklist(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-cc-lp",
-            Problem::Cc,
-            OutputKind::Labels,
-            programs::cc_label_prop(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-pr-pull",
-            Problem::Pr,
-            OutputKind::Ranks,
-            programs::pr_pull(),
-        )),
-        Box::new(DslApp::new(
-            "dsl-mis-luby",
-            Problem::Mis,
-            OutputKind::Independent,
-            programs::mis_luby(),
-        )),
-    ]
+    use OutputKind::{Distances, Independent, Labels, Levels, Ranks};
+    use Problem::{Bfs, Cc, Mis, Pr, Sssp};
+    let table = [
+        ("dsl-bfs-tp", Bfs, Levels, programs::bfs_topology()),
+        ("dsl-bfs-wl", Bfs, Levels, programs::bfs_worklist()),
+        ("dsl-sssp-bf", Sssp, Distances, programs::sssp_bellman()),
+        ("dsl-sssp-wl", Sssp, Distances, programs::sssp_worklist()),
+        ("dsl-cc-lp", Cc, Labels, programs::cc_label_prop()),
+        ("dsl-pr-pull", Pr, Ranks, programs::pr_pull()),
+        ("dsl-mis-luby", Mis, Independent, programs::mis_luby()),
+    ];
+    table
+        .into_iter()
+        .map(|(name, problem, kind, program)| {
+            Box::new(DslApp {
+                name,
+                problem,
+                kind,
+                program,
+                compiled: OnceLock::new(),
+            }) as Box<dyn Application>
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -88,9 +88,8 @@ pub static COMMANDS: &[Command] = {
         Command { name: "extremes", positionals: "", arity: (0, 0), summary: "per-chip extremes (Table II)", run: extremes_cmd, flags: &[DATA ] },
         Command { name: "microbench", positionals: "", arity: (0, 0), summary: "sg-cmb / m-divg / launch utilisation (Table X, Fig 5)", run: microbench, flags: &[] },
         Command { name: "classify", positionals: "FILE", arity: (1, 1), summary: "classify an edge-list graph into road/social/random", run: classify, flags: &[] },
-        Command { name: "codegen", positionals: "PROGRAM", arity: (1, 1), summary: "compile a built-in DSL program and print its OpenCL", run: codegen_cmd, flags: &[OPTS ] },
-        Command { name: "compile", positionals: "FILE", arity: (1, 1), summary: "compile a .irgl source file and print its OpenCL", run: compile_cmd, flags: &[OPTS ] },
-        Command { name: "run-dsl", positionals: "FILE", arity: (1, 1), summary: "execute a .irgl program on a simulated chip", run: run_dsl, flags: &[
+        Command { name: "compile", positionals: "PROGRAM", arity: (1, 1), summary: "compile a built-in DSL program (by name) or a .irgl file and print its OpenCL", run: compile_cmd, flags: &[OPTS ] },
+        Command { name: "run-dsl", positionals: "PROGRAM", arity: (1, 1), summary: "execute a built-in DSL program (by name) or a .irgl file on a simulated chip", run: run_dsl, flags: &[
             INPUT.default("social"), text("chip", "NAME", "study chip").default("R9"), OPTS,
         ] },
         Command { name: "sensitivity", positionals: "", arity: (0, 0), summary: "sample-size sensitivity sweep (Section IX-b)", run: sensitivity_cmd, flags: &[
@@ -581,29 +580,25 @@ fn classify(args: &Args, _: &RunCtx, out: &mut dyn Write) -> Result<(), String> 
     )
 }
 
-fn codegen_cmd(args: &Args, _: &RunCtx, out: &mut dyn Write) -> Result<(), String> {
-    let name = &args.positional[0];
-    let program = programs::all()
-        .into_iter()
-        .find(|p| &p.name == name)
-        .ok_or_else(|| {
-            let names: Vec<String> = programs::all().iter().map(|p| p.name.clone()).collect();
-            format!("unknown program `{name}` (one of {})", names.join(", "))
-        })?;
-    print_opencl(&program, args, out)
-}
-
-/// Prints `program`'s OpenCL under the `--opts` configuration.
-fn print_opencl(program: &Program, args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let plan = transform::plan(program, config_opt(args)?).map_err(|e| e.to_string())?;
-    let text = codegen::opencl(program, &plan).map_err(|e| e.to_string())?;
-    w(out, text)
-}
-
-fn parse_irgl_file(path: &str) -> Result<Program, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = parser::parse(&src).map_err(|e| format!("{path}:{e}"))?;
-    gpp_irgl::validate_program(&program).map_err(|e| format!("{path}: {e}"))?;
+/// The program a `compile` or `run-dsl` argument names: the built-in of
+/// that name, or else the `.irgl` file at that path.
+fn dsl_program(arg: &str) -> Result<Program, String> {
+    let builtins = programs::all();
+    if let Some(program) = builtins.iter().find(|p| p.name == arg) {
+        return Ok(program.clone());
+    }
+    let src = std::fs::read_to_string(arg).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => {
+            let names: Vec<&str> = builtins.iter().map(|p| p.name.as_str()).collect();
+            format!(
+                "unknown program `{arg}`: no such file, nor a built-in (one of {})",
+                names.join(", ")
+            )
+        }
+        _ => format!("{arg}: {e}"),
+    })?;
+    let program = parser::parse(&src).map_err(|e| format!("{arg}:{e}"))?;
+    gpp_irgl::validate_program(&program).map_err(|e| format!("{arg}: {e}"))?;
     Ok(program)
 }
 
@@ -614,13 +609,16 @@ fn config_opt(args: &Args) -> Result<OptConfig, String> {
     }
 }
 
+/// Prints the program's OpenCL under the `--opts` configuration.
 fn compile_cmd(args: &Args, _: &RunCtx, out: &mut dyn Write) -> Result<(), String> {
-    print_opencl(&parse_irgl_file(&args.positional[0])?, args, out)
+    let program = dsl_program(&args.positional[0])?;
+    let plan = transform::plan(&program, config_opt(args)?).map_err(|e| e.to_string())?;
+    let text = codegen::opencl(&program, &plan).map_err(|e| e.to_string())?;
+    w(out, text)
 }
 
 fn run_dsl(args: &Args, _: &RunCtx, out: &mut dyn Write) -> Result<(), String> {
-    let path = &args.positional[0];
-    let program = parse_irgl_file(path)?;
+    let program = dsl_program(&args.positional[0])?;
     let cfg = config_opt(args)?;
     let chip_name = &args.get::<String>("chip");
     let chip = study_chip(chip_name).ok_or_else(|| format!("unknown chip `{chip_name}`"))?;
@@ -888,12 +886,15 @@ mod tests {
             "study",
             "analyze",
             "microbench",
-            "codegen",
+            "compile",
+            "run-dsl",
             "sensitivity",
             "sweep",
         ] {
             assert!(text.contains(cmd), "missing {cmd}");
         }
+        // `compile` prints a built-in by name; there is no `codegen`.
+        assert!(!text.contains("codegen"), "{text}");
     }
 
     #[test]
@@ -1221,20 +1222,28 @@ mod tests {
     }
 
     #[test]
-    fn codegen_compiles_named_program() {
-        let text = run_cmd("codegen bfs_wl --opts sg,fg8").unwrap();
+    fn compile_prints_a_builtin_by_name() {
+        let text = run_cmd("compile bfs_wl --opts sg,fg8").unwrap();
         assert!(text.contains("__kernel void bfs_wl_expand"));
         assert!(text.contains("[np-fg8]"));
     }
 
     #[test]
-    fn codegen_rejects_unknown_program_and_bad_opts() {
-        assert!(run_cmd("codegen nonesuch")
-            .unwrap_err()
-            .contains("nonesuch"));
-        assert!(run_cmd("codegen bfs_wl --opts warp9")
-            .unwrap_err()
-            .contains("warp9"));
+    fn compile_and_run_dsl_reject_unknown_programs_and_bad_opts() {
+        for cmd in ["compile", "run-dsl"] {
+            let err = run_cmd(&format!("{cmd} nonesuch")).unwrap_err();
+            assert!(err.contains("nonesuch"), "{err}");
+            for p in programs::all() {
+                assert!(
+                    err.contains(&p.name),
+                    "{cmd}: {err} does not list {}",
+                    p.name
+                );
+            }
+            assert!(run_cmd(&format!("{cmd} bfs_wl --opts warp9"))
+                .unwrap_err()
+                .contains("warp9"));
+        }
     }
 
     #[test]
@@ -1258,24 +1267,16 @@ mod tests {
 
     #[test]
     fn compile_and_run_dsl_from_file() {
-        let dir = std::env::temp_dir().join(format!("gpp-cli-irgl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hops.irgl");
-        let src = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/data/hops.irgl"),
-        )
-        .unwrap();
-        std::fs::write(&path, src).unwrap();
-        let text = run_cmd(&format!("compile {} --opts coop-cv", path.display())).unwrap();
+        // The built-in's own source file: a path and the name agree.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../irgl/programs/bfs_wl.irgl");
+        let text = run_cmd(&format!("compile {path} --opts coop-cv")).unwrap();
         assert!(text.contains("sub_group_reduce_add"));
-        let text = run_cmd(&format!(
-            "run-dsl {} --input road --chip MALI --opts oitergb",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("hops on road"), "{text}");
+        assert_eq!(text, run_cmd("compile bfs_wl --opts coop-cv").unwrap());
+        let run = "--input road --chip MALI --opts oitergb";
+        let text = run_cmd(&format!("run-dsl {path} {run}")).unwrap();
+        assert!(text.contains("bfs_wl on road"), "{text}");
         assert!(text.contains("1 launches"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(text, run_cmd(&format!("run-dsl bfs_wl {run}")).unwrap());
     }
 
     #[test]
@@ -1296,13 +1297,55 @@ mod tests {
     }
 
     #[test]
-    fn compile_reports_parse_errors_with_position() {
+    fn compile_and_run_dsl_report_parse_errors_with_position() {
         let dir = std::env::temp_dir().join(format!("gpp-cli-irgl3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.irgl");
-        std::fs::write(&path, "program p {\n  field x = wat;\n}").unwrap();
-        let err = run_cmd(&format!("compile {}", path.display())).unwrap_err();
-        assert!(err.contains("2:"), "{err}");
+        let kernel = |body: String| {
+            format!("program p {{ field x = const(0);\nkernel k all_nodes {{\n{body}\n}} driver fixed(k) iters 1; output x; }}")
+        };
+        let deep = "nested deeper than 256 levels";
+        for (src, line, message) in [
+            (
+                "program p {\n  field x = wat;\n}".to_owned(),
+                2,
+                "initialiser",
+            ),
+            // Nesting that would overflow the stack is an error too.
+            (
+                kernel(format!(
+                    "x[node] = {}1{};",
+                    "(".repeat(10_000),
+                    ")".repeat(10_000)
+                )),
+                3,
+                deep,
+            ),
+            (
+                kernel(format!("x[node] = 1{};", " + 1".repeat(100_000))),
+                3,
+                deep,
+            ),
+            (
+                kernel(format!(
+                    "{}x[node] = 1;{}",
+                    "if (1 < 2) {".repeat(30_000),
+                    "}".repeat(30_000)
+                )),
+                3,
+                deep,
+            ),
+        ] {
+            std::fs::write(&path, src).unwrap();
+            for cmd in ["compile", "run-dsl"] {
+                let err = run_cmd(&format!("{cmd} {}", path.display())).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{}:{line}:", path.display())),
+                    "{err}"
+                );
+                assert!(err.contains(message), "{err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,7 +16,8 @@
 //! - [`codegen`] — pseudo-OpenCL rendering with every transformation
 //!   visible in the emitted code;
 //! - [`parser`] / [`printer`] — the textual front end: `.irgl` source
-//!   round-trips through [`ast::Program`];
+//!   round-trips through [`ast::Program`], and nesting deeper than
+//!   [`parser::MAX_DEPTH`] is a [`ParseError`];
 //! - [`interp`] — the runtime front door ([`execute`], which always runs
 //!   the native tier) and the reference oracle [`execute_ast`]: a
 //!   tree-walker that executes programs over real graphs, computing
@@ -27,8 +28,10 @@
 //!   slot-addressed instructions (constants folded, launch invariants
 //!   hoisted, the built-ins' edge loops fused into superinstructions)
 //!   that [`NativeVm`] runs bit-identically to the tree-walker;
-//! - [`programs`] — seven applications written in the DSL, validated
-//!   against the sequential references.
+//! - [`programs`] — seven applications written in the DSL: `.irgl`
+//!   files under the crate's `programs/` directory, embedded in the
+//!   binary and parsed when called, validated against the sequential
+//!   references.
 //!
 //! # Example
 //!

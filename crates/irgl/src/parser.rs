@@ -1,14 +1,16 @@
 //! The DSL's textual front end: a tokenizer and recursive-descent parser
-//! for the surface syntax emitted by [`crate::printer::to_source`].
+//! for the surface syntax emitted by [`crate::printer::to_source`], in
+//! which the built-in programs (`crates/irgl/programs/*.irgl`) are
+//! written.
 //!
 //! ```text
 //! program bfs_wl {
 //!   field level = source_else(inf);
 //!
 //!   kernel expand worklist {
-//!     let next = (level[node] + 1);
+//!     let next = level[node] + 1;
 //!     for edge {
-//!       if ((next < level[nbr])) {
+//!       if (next < level[nbr]) {
 //!         atomic_min(level[nbr], next);
 //!         push(nbr);
 //!       }
@@ -19,6 +21,11 @@
 //!   output level;
 //! }
 //! ```
+//!
+//! Nesting is bounded: a block, parenthesis, operand or operator chain
+//! deeper than [`MAX_DEPTH`] is a [`ParseError`], so no input can
+//! overflow the stack of the parser or of the passes that walk the tree
+//! it builds.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,6 +54,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply blocks and expressions may nest. Each block, parenthesis,
+/// unary operator and call argument counts one level, and so does each
+/// link of an operator chain such as `a + b + c`, which builds a
+/// left-deep tree.
+pub const MAX_DEPTH: usize = 256;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
@@ -61,133 +74,53 @@ struct Token {
     col: usize,
 }
 
+/// Punctuation, two-character tokens first so that the longest match wins.
+const PUNCT: [&str; 20] = [
+    "==", "!=", "<=", "&&", "||", "{", "}", "(", ")", "[", "]", ",", ";", "=", "<", "+", "-", "*",
+    "/", "!",
+];
+
 fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
     let mut toks = Vec::new();
-    let mut chars = src.chars().peekable();
     let (mut line, mut col) = (1usize, 1usize);
-    let advance = |c: char, line: &mut usize, col: &mut usize| {
-        if c == '\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
-        }
-    };
-    while let Some(&c) = chars.peek() {
-        let (tline, tcol) = (line, col);
-        if c.is_whitespace() {
-            chars.next();
-            advance(c, &mut line, &mut col);
-            continue;
-        }
-        if c == '/' {
-            // Comment or division.
-            let mut clone = chars.clone();
-            clone.next();
-            if clone.peek() == Some(&'/') {
-                for c in chars.by_ref() {
-                    advance(c, &mut line, &mut col);
-                    if c == '\n' {
-                        break;
-                    }
-                }
-                continue;
-            }
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut ident = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' {
-                    ident.push(c);
-                    chars.next();
-                    advance(c, &mut line, &mut col);
-                } else {
-                    break;
-                }
-            }
-            toks.push(Token {
-                tok: Tok::Ident(ident),
-                line: tline,
-                col: tcol,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let mut text = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' {
-                    text.push(c);
-                    chars.next();
-                    advance(c, &mut line, &mut col);
-                } else {
-                    break;
-                }
-            }
-            let value: f64 = text.parse().map_err(|_| ParseError {
-                line: tline,
-                col: tcol,
+    let mut rest = src;
+    while let Some(c) = rest.chars().next() {
+        let end = |word: fn(char) -> bool| rest.find(|c| !word(c)).unwrap_or(rest.len());
+        let (len, tok) = if c.is_whitespace() {
+            (c.len_utf8(), None)
+        } else if rest.starts_with("//") {
+            (rest.find('\n').unwrap_or(rest.len()), None)
+        } else if c.is_ascii_alphabetic() || c == '_' {
+            let len = end(|c| c.is_ascii_alphanumeric() || c == '_');
+            (len, Some(Tok::Ident(rest[..len].to_owned())))
+        } else if c.is_ascii_digit() {
+            let len = end(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E'));
+            let text = &rest[..len];
+            let value = text.parse().map_err(|_| ParseError {
+                line,
+                col,
                 message: format!("bad number `{text}`"),
             })?;
-            toks.push(Token {
-                tok: Tok::Num(value),
-                line: tline,
-                col: tcol,
+            (len, Some(Tok::Num(value)))
+        } else if let Some(p) = PUNCT.into_iter().find(|p| rest.starts_with(p)) {
+            (p.len(), Some(Tok::Punct(p)))
+        } else {
+            return Err(ParseError {
+                line,
+                col,
+                message: format!("unexpected character `{c}`"),
             });
-            continue;
-        }
-        // Punctuation (longest match first).
-        let two: String = chars.clone().take(2).collect();
-        let punct = match two.as_str() {
-            "==" => Some("=="),
-            "!=" => Some("!="),
-            "<=" => Some("<="),
-            "&&" => Some("&&"),
-            "||" => Some("||"),
-            _ => None,
         };
-        if let Some(p) = punct {
-            for _ in 0..2 {
-                let c = chars.next().expect("peeked");
-                advance(c, &mut line, &mut col);
+        toks.extend(tok.map(|tok| Token { tok, line, col }));
+        for c in rest[..len].chars() {
+            if c == '\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
             }
-            toks.push(Token {
-                tok: Tok::Punct(p),
-                line: tline,
-                col: tcol,
-            });
-            continue;
         }
-        let single = match c {
-            '{' => "{",
-            '}' => "}",
-            '(' => "(",
-            ')' => ")",
-            '[' => "[",
-            ']' => "]",
-            ',' => ",",
-            ';' => ";",
-            '=' => "=",
-            '<' => "<",
-            '+' => "+",
-            '-' => "-",
-            '*' => "*",
-            '/' => "/",
-            '!' => "!",
-            other => {
-                return Err(ParseError {
-                    line: tline,
-                    col: tcol,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        };
-        chars.next();
-        advance(c, &mut line, &mut col);
-        toks.push(Token {
-            tok: Tok::Punct(single),
-            line: tline,
-            col: tcol,
-        });
+        rest = &rest[len..];
     }
     Ok(toks)
 }
@@ -199,6 +132,8 @@ struct Parser {
     globals: HashMap<String, usize>,
     kernels: HashMap<String, usize>,
     locals: HashMap<String, usize>,
+    /// Nesting of the construct being parsed (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 /// Parses DSL source text into a validated-shape [`Program`] (run
@@ -206,8 +141,9 @@ struct Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a source position on any syntax error
-/// or reference to an undeclared name.
+/// Returns a [`ParseError`] with a source position on any syntax error,
+/// reference to an undeclared name, or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = tokenize(src)?;
     let mut p = Parser {
@@ -217,26 +153,68 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         globals: HashMap::new(),
         kernels: HashMap::new(),
         locals: HashMap::new(),
+        depth: 0,
     };
     p.program()
 }
 
 impl Parser {
-    fn here(&self) -> (usize, usize) {
-        self.toks
-            .get(self.pos)
+    /// An error at token `pos` (the last token when `pos` is past the
+    /// end).
+    fn err_at(&self, pos: usize, message: impl Into<String>) -> ParseError {
+        let (line, col) = self
+            .toks
+            .get(pos)
             .or_else(|| self.toks.last())
             .map(|t| (t.line, t.col))
-            .unwrap_or((1, 1))
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        let (line, col) = self.here();
+            .unwrap_or((1, 1));
         ParseError {
             line,
             col,
             message: message.into(),
         }
+    }
+
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        self.err_at(self.pos, message)
+    }
+
+    fn too_deep(&self, pos: usize) -> ParseError {
+        self.err_at(pos, format!("nested deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `parse` one nesting level deeper. Called just after the token
+    /// that opens the level, where it fails if that is deeper than
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep(self.pos - 1));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// `lhs op rhs`, where `*height` is the height of `lhs` and becomes
+    /// that of the result. Fails at the operator token `at` when a leaf
+    /// of the result would sit deeper than [`MAX_DEPTH`].
+    fn join(
+        &self,
+        at: usize,
+        op: BinOp,
+        lhs: Expr,
+        rhs: Expr,
+        height: &mut usize,
+    ) -> Result<Expr, ParseError> {
+        *height = (*height).max(expr_height(&rhs)) + 1;
+        if self.depth + *height > MAX_DEPTH {
+            return Err(self.too_deep(at));
+        }
+        Ok(Expr::bin(op, lhs, rhs))
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -465,11 +443,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect_punct("{")?;
-        let mut stmts = Vec::new();
-        while !self.eat_punct_inner("}") {
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat_punct_inner("}") {
+                stmts.push(p.stmt()?);
+            }
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -587,23 +567,14 @@ impl Parser {
 
     // Precedence climbing: || < && < comparison < additive < multiplicative.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct_inner("||") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(&[("||", BinOp::Or)], Self::and_expr)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat_punct_inner("&&") {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(&[("&&", BinOp::And)], Self::cmp_expr)
     }
 
+    /// One comparison at most: `a < b < c` is a syntax error.
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.add_expr()?;
         for (punct, op) in [
@@ -612,50 +583,52 @@ impl Parser {
             ("!=", BinOp::Ne),
             ("<", BinOp::Lt),
         ] {
+            let at = self.pos;
             if self.eat_punct_inner(punct) {
+                let mut height = expr_height(&lhs);
                 let rhs = self.add_expr()?;
-                return Ok(Expr::bin(op, lhs, rhs));
+                return self.join(at, op, lhs, rhs, &mut height);
             }
         }
         Ok(lhs)
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            if self.eat_punct_inner("+") {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::bin(BinOp::Add, lhs, rhs);
-            } else if self.eat_punct_inner("-") {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::bin(BinOp::Sub, lhs, rhs);
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(&[("+", BinOp::Add), ("-", BinOp::Sub)], Self::mul_expr)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            if self.eat_punct_inner("*") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::bin(BinOp::Mul, lhs, rhs);
-            } else if self.eat_punct_inner("/") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::bin(BinOp::Div, lhs, rhs);
-            } else {
-                return Ok(lhs);
+        self.chain(&[("*", BinOp::Mul), ("/", BinOp::Div)], Self::unary_expr)
+    }
+
+    /// A left-associative chain `operand (op operand)*` over `ops`.
+    fn chain(
+        &mut self,
+        ops: &[(&str, BinOp)],
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let mut lhs = operand(self)?;
+        let mut height = expr_height(&lhs);
+        'link: loop {
+            for &(punct, op) in ops {
+                let at = self.pos;
+                if self.eat_punct_inner(punct) {
+                    let rhs = operand(self)?;
+                    lhs = self.join(at, op, lhs, rhs, &mut height)?;
+                    continue 'link;
+                }
             }
+            return Ok(lhs);
         }
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct_inner("!") {
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(self.unary_expr()?)));
+            let inner = self.nested(Self::unary_expr)?;
+            return Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)));
         }
         if self.eat_punct_inner("-") {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             // Canonical form: fold negation of a literal into the literal
             // so `-1` parses as the constant -1.
             if let Expr::Const(c) = inner {
@@ -668,16 +641,16 @@ impl Parser {
 
     fn two_args(&mut self) -> Result<(Expr, Expr), ParseError> {
         self.expect_punct("(")?;
-        let a = self.expr()?;
+        let a = self.nested(Self::expr)?;
         self.expect_punct(",")?;
-        let b = self.expr()?;
+        let b = self.nested(Self::expr)?;
         self.expect_punct(")")?;
         Ok((a, b))
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct_inner("(") {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect_punct(")")?;
             return Ok(e);
         }
@@ -711,7 +684,7 @@ impl Parser {
         }
         if self.eat_ident("floor") {
             self.expect_punct("(")?;
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect_punct(")")?;
             return Ok(Expr::Unary(UnaryOp::Floor, Box::new(e)));
         }
@@ -752,6 +725,16 @@ impl Parser {
             return Ok(Expr::Local(id));
         }
         Err(self.err(format!("unknown name `{name}`")))
+    }
+}
+
+/// The number of levels below `e`: 0 for a leaf. The parser bounds it,
+/// so the recursion here is shallow.
+fn expr_height(e: &Expr) -> usize {
+    match e {
+        Expr::Unary(_, a) => 1 + expr_height(a),
+        Expr::Binary(_, a, b) | Expr::Hash(a, b) => 1 + expr_height(a).max(expr_height(b)),
+        _ => 0,
     }
 }
 

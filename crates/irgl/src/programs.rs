@@ -1,411 +1,62 @@
-//! Graph applications written in the DSL, mirroring a subset of the
+//! The seven built-in applications, mirroring a subset of the
 //! handwritten suite: two BFS strategies, two SSSP strategies, label
 //! propagation, PageRank, and Luby's maximal independent set.
+//!
+//! Each is DSL source, a `.irgl` file under the crate's `programs/`
+//! directory, embedded in the binary and parsed when its function is
+//! called; `gpp compile NAME` prints any of them as OpenCL.
 
-use crate::ast::{
-    BinOp, Domain, Driver, Expr, FieldDecl, FieldInit, GlobalDecl, Kernel, Program, Ref, Stmt,
-    WorklistInit,
-};
+use crate::ast::Program;
+use crate::parser::parse;
 
-use Expr::{Const, Degree, EdgeWeight, Global, Iter, Local, NodeId, NumNodes};
-
-fn field(f: usize, r: Ref) -> Expr {
-    Expr::Field(f, r)
+/// Parses a built-in's embedded source. The files ship with the crate
+/// and its tests parse every one, so an error here is a bug.
+fn builtin(src: &str) -> Program {
+    parse(src).unwrap_or_else(|e| panic!("built-in DSL program: {e}"))
 }
 
-fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
-    Expr::bin(op, a, b)
-}
-
-/// Topology-driven BFS: one kernel over all nodes per level, expanding
-/// nodes whose level equals the iteration counter.
+/// Topology-driven BFS (`bfs_tp`): one kernel over all nodes per level,
+/// expanding nodes whose level equals the iteration counter.
 pub fn bfs_topology() -> Program {
-    let level = 0;
-    Program {
-        name: "bfs_tp".into(),
-        fields: vec![FieldDecl {
-            name: "level".into(),
-            init: FieldInit::SourceElse(f64::INFINITY),
-        }],
-        globals: vec![],
-        kernels: vec![Kernel {
-            name: "bfs_tp_step".into(),
-            domain: Domain::AllNodes,
-            locals: 0,
-            body: vec![Stmt::If {
-                cond: bin(BinOp::Eq, field(level, Ref::Node), Iter),
-                then: vec![Stmt::ForEachEdge(vec![Stmt::If {
-                    cond: bin(
-                        BinOp::Lt,
-                        bin(BinOp::Add, Iter, Const(1.0)),
-                        field(level, Ref::Nbr),
-                    ),
-                    then: vec![
-                        Stmt::AtomicMin {
-                            field: level,
-                            target: Ref::Nbr,
-                            value: bin(BinOp::Add, Iter, Const(1.0)),
-                        },
-                        Stmt::MarkChanged,
-                    ],
-                    els: vec![],
-                }])],
-                els: vec![],
-            }],
-        }],
-        driver: Driver::UntilFixpoint {
-            kernels: vec![0],
-            max_iters: 1_000_000,
-        },
-        output: level,
-    }
+    builtin(include_str!("../programs/bfs_tp.irgl"))
 }
 
-/// Worklist BFS: frontier nodes relax their neighbours and push newly
-/// improved ones.
+/// Worklist BFS (`bfs_wl`): frontier nodes relax their neighbours and
+/// push newly improved ones.
 pub fn bfs_worklist() -> Program {
-    let level = 0;
-    Program {
-        name: "bfs_wl".into(),
-        fields: vec![FieldDecl {
-            name: "level".into(),
-            init: FieldInit::SourceElse(f64::INFINITY),
-        }],
-        globals: vec![],
-        kernels: vec![Kernel {
-            name: "bfs_wl_expand".into(),
-            domain: Domain::Worklist,
-            locals: 1,
-            body: vec![
-                Stmt::Let(0, bin(BinOp::Add, field(level, Ref::Node), Const(1.0))),
-                Stmt::ForEachEdge(vec![Stmt::If {
-                    cond: bin(BinOp::Lt, Local(0), field(level, Ref::Nbr)),
-                    then: vec![
-                        Stmt::AtomicMin {
-                            field: level,
-                            target: Ref::Nbr,
-                            value: Local(0),
-                        },
-                        Stmt::Push(Ref::Nbr),
-                    ],
-                    els: vec![],
-                }]),
-            ],
-        }],
-        driver: Driver::WorklistLoop {
-            init: WorklistInit::Source,
-            kernel: 0,
-            max_iters: 1_000_000,
-        },
-        output: level,
-    }
+    builtin(include_str!("../programs/bfs_wl.irgl"))
 }
 
-/// Topology-driven Bellman-Ford SSSP.
+/// Topology-driven Bellman-Ford SSSP (`sssp_bf`).
 pub fn sssp_bellman() -> Program {
-    let dist = 0;
-    Program {
-        name: "sssp_bf".into(),
-        fields: vec![FieldDecl {
-            name: "dist".into(),
-            init: FieldInit::SourceElse(f64::INFINITY),
-        }],
-        globals: vec![],
-        kernels: vec![Kernel {
-            name: "sssp_bf_relax".into(),
-            domain: Domain::AllNodes,
-            locals: 1,
-            body: vec![Stmt::If {
-                cond: bin(BinOp::Lt, field(dist, Ref::Node), Const(f64::INFINITY)),
-                then: vec![Stmt::ForEachEdge(vec![
-                    Stmt::Let(0, bin(BinOp::Add, field(dist, Ref::Node), EdgeWeight)),
-                    Stmt::If {
-                        cond: bin(BinOp::Lt, Local(0), field(dist, Ref::Nbr)),
-                        then: vec![
-                            Stmt::AtomicMin {
-                                field: dist,
-                                target: Ref::Nbr,
-                                value: Local(0),
-                            },
-                            Stmt::MarkChanged,
-                        ],
-                        els: vec![],
-                    },
-                ])],
-                els: vec![],
-            }],
-        }],
-        driver: Driver::UntilFixpoint {
-            kernels: vec![0],
-            max_iters: 1_000_000,
-        },
-        output: dist,
-    }
+    builtin(include_str!("../programs/sssp_bf.irgl"))
 }
 
-/// Worklist SSSP: improved nodes are queued for re-relaxation.
+/// Worklist SSSP (`sssp_wl`): improved nodes are queued for
+/// re-relaxation.
 pub fn sssp_worklist() -> Program {
-    let dist = 0;
-    Program {
-        name: "sssp_wl".into(),
-        fields: vec![FieldDecl {
-            name: "dist".into(),
-            init: FieldInit::SourceElse(f64::INFINITY),
-        }],
-        globals: vec![],
-        kernels: vec![Kernel {
-            name: "sssp_wl_relax".into(),
-            domain: Domain::Worklist,
-            locals: 1,
-            body: vec![Stmt::ForEachEdge(vec![
-                Stmt::Let(0, bin(BinOp::Add, field(dist, Ref::Node), EdgeWeight)),
-                Stmt::If {
-                    cond: bin(BinOp::Lt, Local(0), field(dist, Ref::Nbr)),
-                    then: vec![
-                        Stmt::AtomicMin {
-                            field: dist,
-                            target: Ref::Nbr,
-                            value: Local(0),
-                        },
-                        Stmt::Push(Ref::Nbr),
-                    ],
-                    els: vec![],
-                },
-            ])],
-        }],
-        driver: Driver::WorklistLoop {
-            init: WorklistInit::Source,
-            kernel: 0,
-            max_iters: 1_000_000,
-        },
-        output: dist,
-    }
+    builtin(include_str!("../programs/sssp_wl.irgl"))
 }
 
-/// Connected components by minimum-label propagation.
+/// Connected components by minimum-label propagation (`cc_lp`).
 pub fn cc_label_prop() -> Program {
-    let label = 0;
-    Program {
-        name: "cc_lp".into(),
-        fields: vec![FieldDecl {
-            name: "label".into(),
-            init: FieldInit::NodeId,
-        }],
-        globals: vec![],
-        kernels: vec![Kernel {
-            name: "cc_lp_propagate".into(),
-            domain: Domain::AllNodes,
-            locals: 0,
-            body: vec![Stmt::ForEachEdge(vec![Stmt::If {
-                cond: bin(BinOp::Lt, field(label, Ref::Node), field(label, Ref::Nbr)),
-                then: vec![
-                    Stmt::AtomicMin {
-                        field: label,
-                        target: Ref::Nbr,
-                        value: field(label, Ref::Node),
-                    },
-                    Stmt::MarkChanged,
-                ],
-                els: vec![],
-            }])],
-        }],
-        driver: Driver::UntilFixpoint {
-            kernels: vec![0],
-            max_iters: 1_000_000,
-        },
-        output: label,
-    }
+    builtin(include_str!("../programs/cc_lp.irgl"))
 }
 
-/// Pull-style PageRank with uniform redistribution of dangling mass via a
-/// global accumulator; a fixed 64 power iterations (damping 0.85).
+/// Pull-style PageRank (`pr_pull`) with uniform redistribution of
+/// dangling mass via a global accumulator; a fixed 64 power iterations
+/// (damping 0.85).
 pub fn pr_pull() -> Program {
-    let rank = 0;
-    let share = 1;
-    let dangling = 0;
-    Program {
-        name: "pr_pull".into(),
-        fields: vec![
-            FieldDecl {
-                name: "rank".into(),
-                init: FieldInit::OneOverN,
-            },
-            FieldDecl {
-                name: "share".into(),
-                init: FieldInit::Const(0.0),
-            },
-        ],
-        globals: vec![GlobalDecl {
-            name: "dangling".into(),
-            init: 0.0,
-        }],
-        kernels: vec![
-            Kernel {
-                name: "pr_compute_share".into(),
-                domain: Domain::AllNodes,
-                locals: 0,
-                body: vec![Stmt::If {
-                    cond: bin(BinOp::Lt, Const(0.0), Degree(Ref::Node)),
-                    then: vec![Stmt::Store {
-                        field: share,
-                        target: Ref::Node,
-                        value: bin(
-                            BinOp::Div,
-                            bin(BinOp::Mul, Const(0.85), field(rank, Ref::Node)),
-                            Degree(Ref::Node),
-                        ),
-                    }],
-                    els: vec![Stmt::GlobalAdd(dangling, field(rank, Ref::Node))],
-                }],
-            },
-            Kernel {
-                name: "pr_gather".into(),
-                domain: Domain::AllNodes,
-                locals: 1,
-                body: vec![
-                    Stmt::Let(0, Const(0.0)),
-                    Stmt::ForEachEdge(vec![Stmt::Let(
-                        0,
-                        bin(BinOp::Add, Local(0), field(share, Ref::Nbr)),
-                    )]),
-                    Stmt::Store {
-                        field: rank,
-                        target: Ref::Node,
-                        value: bin(
-                            BinOp::Add,
-                            bin(
-                                BinOp::Add,
-                                bin(BinOp::Div, Const(0.15), NumNodes),
-                                bin(
-                                    BinOp::Div,
-                                    bin(BinOp::Mul, Const(0.85), Global(dangling)),
-                                    NumNodes,
-                                ),
-                            ),
-                            Local(0),
-                        ),
-                    },
-                ],
-            },
-        ],
-        driver: Driver::Fixed {
-            kernels: vec![0, 1],
-            iters: 64,
-        },
-        output: rank,
-    }
+    builtin(include_str!("../programs/pr_pull.irgl"))
 }
 
-/// Luby's maximal independent set: fresh hash priorities per round;
-/// state 0 = undecided, 1 = in the set, 2 = excluded.
+/// Luby's maximal independent set (`mis_luby`): fresh hash priorities
+/// per round; state 0 = undecided, 1 = in the set, 2 = excluded.
 pub fn mis_luby() -> Program {
-    let state = 0;
-    let cand = 1;
-    let my_prio = 1usize; // local 1; local 0 is the "win" flag
-    Program {
-        name: "mis_luby".into(),
-        fields: vec![
-            FieldDecl {
-                name: "state".into(),
-                init: FieldInit::Const(0.0),
-            },
-            FieldDecl {
-                name: "cand".into(),
-                init: FieldInit::Const(0.0),
-            },
-        ],
-        globals: vec![],
-        kernels: vec![
-            Kernel {
-                name: "mis_select".into(),
-                domain: Domain::AllNodes,
-                locals: 2,
-                body: vec![Stmt::If {
-                    cond: bin(BinOp::Eq, field(state, Ref::Node), Const(0.0)),
-                    then: vec![
-                        Stmt::Let(0, Const(1.0)),
-                        Stmt::Let(
-                            my_prio,
-                            Expr::Hash(Box::new(NodeId(Ref::Node)), Box::new(Iter)),
-                        ),
-                        Stmt::ForEachEdge(vec![Stmt::If {
-                            cond: bin(
-                                BinOp::And,
-                                bin(BinOp::Eq, field(state, Ref::Nbr), Const(0.0)),
-                                bin(
-                                    BinOp::Or,
-                                    bin(
-                                        BinOp::Lt,
-                                        Local(my_prio),
-                                        Expr::Hash(Box::new(NodeId(Ref::Nbr)), Box::new(Iter)),
-                                    ),
-                                    bin(
-                                        BinOp::And,
-                                        bin(
-                                            BinOp::Eq,
-                                            Local(my_prio),
-                                            Expr::Hash(Box::new(NodeId(Ref::Nbr)), Box::new(Iter)),
-                                        ),
-                                        bin(BinOp::Lt, NodeId(Ref::Nbr), NodeId(Ref::Node)),
-                                    ),
-                                ),
-                            ),
-                            then: vec![Stmt::Let(0, Const(0.0))],
-                            els: vec![],
-                        }]),
-                        Stmt::Store {
-                            field: cand,
-                            target: Ref::Node,
-                            value: Local(0),
-                        },
-                    ],
-                    els: vec![Stmt::Store {
-                        field: cand,
-                        target: Ref::Node,
-                        value: Const(0.0),
-                    }],
-                }],
-            },
-            Kernel {
-                name: "mis_apply".into(),
-                domain: Domain::AllNodes,
-                locals: 0,
-                body: vec![Stmt::If {
-                    cond: bin(
-                        BinOp::And,
-                        bin(BinOp::Eq, field(cand, Ref::Node), Const(1.0)),
-                        bin(BinOp::Eq, field(state, Ref::Node), Const(0.0)),
-                    ),
-                    then: vec![
-                        Stmt::Store {
-                            field: state,
-                            target: Ref::Node,
-                            value: Const(1.0),
-                        },
-                        Stmt::MarkChanged,
-                        Stmt::ForEachEdge(vec![Stmt::If {
-                            cond: bin(BinOp::Eq, field(state, Ref::Nbr), Const(0.0)),
-                            then: vec![Stmt::Store {
-                                field: state,
-                                target: Ref::Nbr,
-                                value: Const(2.0),
-                            }],
-                            els: vec![],
-                        }]),
-                    ],
-                    els: vec![],
-                }],
-            },
-        ],
-        driver: Driver::UntilFixpoint {
-            kernels: vec![0, 1],
-            max_iters: 100_000,
-        },
-        output: state,
-    }
+    builtin(include_str!("../programs/mis_luby.irgl"))
 }
 
-/// All DSL-authored programs.
+/// All seven built-in programs.
 pub fn all() -> Vec<Program> {
     vec![
         bfs_topology(),
@@ -455,6 +106,27 @@ mod tests {
             validate_program(&p).unwrap_or_else(|e| panic!("{}: {e}", p.name));
         }
         assert_eq!(all().len(), 7);
+    }
+
+    /// The built-ins' content hashes key the trace cache: an edit to a
+    /// `.irgl` file that changes its program must change this table.
+    #[test]
+    fn builtin_content_hashes_are_pinned() {
+        let hashes: Vec<(String, u64)> = all()
+            .iter()
+            .map(|p| (p.name.clone(), p.content_hash()))
+            .collect();
+        let expect = [
+            ("bfs_tp", 0xb871_ceb7_2ffb_c004),
+            ("bfs_wl", 0x3f4a_f52b_60c0_0cd0),
+            ("sssp_bf", 0xeb94_30f1_7fac_75ef),
+            ("sssp_wl", 0x4e10_357a_dd8c_2518),
+            ("cc_lp", 0x574b_94e9_a053_26f9),
+            ("pr_pull", 0x43b8_063f_cd5f_81b6),
+            ("mis_luby", 0x1c6c_558e_dd58_79be),
+        ]
+        .map(|(name, hash)| (name.to_owned(), hash));
+        assert_eq!(hashes, expect);
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! The DSL front end never panics. Arbitrary bytes, token-mutated
-//! built-in programs, and a kernel with more locals than a 16-bit index
-//! can name all go through parse → validate → compile → run on both
-//! tiers; every stage answers `Err` or `Ok`, and whenever the tiers run
-//! they agree bit for bit. A panic anywhere fails the test. Runs stay
+//! built-in programs, a kernel with more locals than a 16-bit index can
+//! name, and programs nested to the parser's bound all go through parse
+//! → validate → compile → run on both tiers; every stage answers `Err`
+//! or `Ok`, and whenever the tiers run they agree bit for bit. A panic
+//! anywhere fails the test, and so would a stack overflow. Runs stay
 //! cheap: a 9-node graph, and driver bounds clamped to [`MAX_BOUND`]
-//! rounds.
+//! rounds. Every `.irgl` file the repository ships parses, validates and
+//! compiles.
 
 use std::fmt::Write as _;
 
 use gpp::graph::rng::{for_cases, Rng64};
 use gpp::graph::{generators, Graph};
 use gpp::irgl::ast::{Driver, Program};
+use gpp::irgl::parser::MAX_DEPTH;
 use gpp::irgl::{
-    execute_ast, parse, printer, programs, validate_program, CompiledProgram, Execution, IrglError,
-    NativeVm,
+    codegen, execute_ast, parse, plan, printer, programs, validate_program, CompiledProgram,
+    Execution, IrglError, NativeVm,
 };
+use gpp::sim::opts::OptConfig;
 use gpp::sim::trace::{Recorder, Trace};
 
 /// Iteration cap for every driven program: a mutant that never reaches
@@ -126,13 +130,17 @@ fn drive(what: &str, src: &str, graph: &Graph) -> bool {
 }
 
 /// Splits DSL source into tokens, just finely enough that joining them
-/// with spaces parses back to the same program.
+/// with spaces parses back to the same program. Comments are dropped.
 fn tokens(src: &str) -> Vec<String> {
     let word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.';
     let mut out = Vec::new();
     let mut chars = src.chars().peekable();
     while let Some(c) = chars.next() {
         if c.is_whitespace() {
+            continue;
+        }
+        if c == '/' && chars.peek() == Some(&'/') {
+            chars.by_ref().find(|&d| d == '\n');
             continue;
         }
         let mut tok = c.to_string();
@@ -216,28 +224,148 @@ fn arbitrary_bytes_never_panic() {
     });
 }
 
+/// The text of a `.irgl` file, by path from the repository root.
+fn shipped(path: &str) -> String {
+    let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("{full}: {e}"))
+}
+
 #[test]
 fn token_mutated_builtins_never_panic_and_tiers_agree() {
     let graph = tiny_graph();
     let mut ran = 0usize;
     for program in programs::all() {
-        let toks = tokens(&printer::to_source(&program));
-        // The tokenizer is faithful: unmutated tokens parse back.
-        assert_eq!(parse(&toks.join(" ")).expect("round trip"), program);
-        assert!(
-            drive(&program.name, &toks.join(" "), &graph),
-            "{}",
-            program.name
-        );
-        for_cases(0x70_4e5, 1_000, |rng| {
-            let mut mutant = toks.clone();
-            mutate(rng, &mut mutant);
-            let what = format!("{} mutant", program.name);
-            ran += usize::from(drive(&what, &mutant.join(" "), &graph));
-        });
+        // Half the mutants edit the printer's text (`t0` locals, every
+        // operator parenthesised), half the shipped file's own text
+        // (comments, named locals, implicit precedence).
+        let file = shipped(&format!("crates/irgl/programs/{}.irgl", program.name));
+        for (form, src) in [("printed", printer::to_source(&program)), ("shipped", file)] {
+            let toks = tokens(&src);
+            // The tokenizer is faithful: unmutated tokens parse back.
+            assert_eq!(parse(&toks.join(" ")).expect("round trip"), program);
+            let what = format!("{} {form}", program.name);
+            assert!(drive(&what, &toks.join(" "), &graph), "{what}");
+            for_cases(0x70_4e5, 500, |rng| {
+                let mut mutant = toks.clone();
+                mutate(rng, &mut mutant);
+                let what = format!("{} {form} mutant", program.name);
+                ran += usize::from(drive(&what, &mutant.join(" "), &graph));
+            });
+        }
     }
     // Not every mutant is a syntax error: plenty reach both tiers.
     assert!(ran >= 100, "only {ran} of 7,000 mutants ran");
+}
+
+#[test]
+fn every_shipped_irgl_file_parses_validates_and_compiles() {
+    let dir = format!("{}/crates/irgl/programs", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.expect("directory entry").file_name())
+        .map(|name| name.into_string().expect("UTF-8 file name"))
+        .collect();
+    files.sort_unstable();
+    // One file per built-in, named after its program, and nothing else.
+    let mut names: Vec<String> = programs::all()
+        .iter()
+        .map(|p| format!("{}.irgl", p.name))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(files, names);
+    let paths = files
+        .iter()
+        .map(|file| format!("crates/irgl/programs/{file}"))
+        .chain(["examples/data/components.irgl".to_owned()]);
+    for path in paths {
+        let program = parse(&shipped(&path)).unwrap_or_else(|e| panic!("{path}:{e}"));
+        validate_program(&program).unwrap_or_else(|e| panic!("{path}: {e}"));
+        CompiledProgram::compile(&program).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let baseline = plan(&program, OptConfig::baseline()).expect("valid program");
+        assert!(codegen::opencl(&program, &baseline)
+            .expect("valid plan")
+            .contains("__kernel void"));
+    }
+}
+
+/// A one-kernel program whose kernel body is `body`. The kernel's block
+/// is the first nesting level.
+fn in_kernel(body: &str) -> String {
+    format!(
+        "program deep {{\n  field x = const(0);\n  kernel k all_nodes {{\n{body}\n  }}\n  driver fixed(k) iters 1;\n  output x;\n}}\n"
+    )
+}
+
+/// `n` parentheses around a literal.
+fn parens(n: usize) -> String {
+    in_kernel(&format!("x[node] = {}1{};", "(".repeat(n), ")".repeat(n)))
+}
+
+/// An operator chain of `n` links, which builds a left-deep tree.
+fn chain(n: usize) -> String {
+    in_kernel(&format!("x[node] = 1{};", " + 1".repeat(n)))
+}
+
+/// `n` nested `if` blocks.
+fn ifs(n: usize) -> String {
+    in_kernel(&format!(
+        "{}x[node] = 1;{}",
+        "if (1 < 2) {\n".repeat(n),
+        "}".repeat(n)
+    ))
+}
+
+/// All three at once: `n` nested `if` blocks around a store of `n`
+/// parentheses around a chain of `n` links.
+fn mixed(n: usize) -> String {
+    let chain = format!("1{}", " + 1".repeat(n));
+    let store = format!("x[node] = {}{chain}{};", "(".repeat(n), ")".repeat(n));
+    in_kernel(&format!(
+        "{}{store}{}",
+        "if (1 < 2) {\n".repeat(n),
+        "}".repeat(n)
+    ))
+}
+
+#[test]
+fn deeply_nested_source_is_an_error_not_a_stack_overflow() {
+    for (what, src) in [
+        ("10,000 parentheses", parens(10_000)),
+        ("a 100,000-link chain", chain(100_000)),
+        ("30,000 nested ifs", ifs(30_000)),
+    ] {
+        let err = parse(&src).expect_err(what);
+        assert_position_in_source(what, &src, err.line, err.col);
+        assert!(
+            err.message
+                .contains(&format!("nested deeper than {MAX_DEPTH}")),
+            "{what}: {err}"
+        );
+    }
+}
+
+/// Programs at the bound run wherever the study compiles them: on a pool
+/// worker, whose stack is the default 2 MiB.
+#[test]
+fn programs_at_the_nesting_bound_run_on_a_2_mib_stack() {
+    let deepest = MAX_DEPTH - 1; // the kernel's block is one level
+    let shapes = [
+        ("parens", parens(deepest), parens(deepest + 1)),
+        ("chain", chain(deepest), chain(deepest + 1)),
+        ("ifs", ifs(deepest), ifs(deepest + 1)),
+        ("mixed", mixed(deepest / 3), mixed(deepest / 3 + 1)),
+    ];
+    for (what, at_bound, past_bound) in shapes {
+        let err = parse(&past_bound).expect_err(what);
+        assert!(err.message.contains("nested deeper"), "{what}: {err}");
+        let ran = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || drive(what, &at_bound, &tiny_graph()))
+            .expect("spawn")
+            .join()
+            .unwrap_or_else(|_| panic!("{what} at the bound panicked"));
+        assert!(ran, "{what} at the bound must parse, compile and run");
+    }
 }
 
 #[test]
